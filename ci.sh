@@ -8,6 +8,9 @@ cargo test --workspace -q
 # The crash-point subsystem is compiled out by default; test it explicitly.
 cargo test -p ow-crashpoint --features crashpoint -q
 cargo test -p ow-faultinject --features crashpoint -q
+# Hardware-substrate property sweeps, including recycled RAM/disk buffers
+# checked against a plain byte shadow (a few seconds).
+cargo test -p ow-simhw --features heavy-tests -q
 
 # Parallel==serial determinism smoke: the sharded campaign engine must emit
 # byte-identical JSON for any --jobs value.

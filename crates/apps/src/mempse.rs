@@ -176,7 +176,11 @@ pub fn delete_row(api: &mut dyn UserApi, tbl: u64, idx: u64) -> Result<(), Errno
 /// which, as in §5.2, treats rows as opaque byte arrays).
 pub fn scan(api: &mut dyn UserApi, tbl: u64) -> Result<Vec<Vec<u8>>, Errno> {
     let n = nrows(api, tbl)?;
-    let mut out = Vec::with_capacity(n as usize);
+    // The row count is user memory a kernel crash may have corrupted: size
+    // the buffer by what the arena can hold, not by the stored count (a
+    // wild count once asked the host for 25 TB); an impossible count then
+    // fails at the first unreadable row.
+    let mut out = Vec::with_capacity(n.min((ARENA_END - ARENA_BASE) / ROW_SIZE) as usize);
     for i in 0..n {
         out.push(row(api, tbl, i)?);
     }

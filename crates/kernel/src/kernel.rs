@@ -497,13 +497,16 @@ impl Kernel {
             );
         }
 
-        // Memory layout for this kernel.
+        // Memory layout for this kernel. The region bounds are settled (and,
+        // for a crash kernel, checked against installed RAM) before any
+        // frame is tagged or the allocator is sized from them.
         let total_frames = machine.frames();
-        let kernel_end = base_frame + config.kernel_frames;
-        if cold {
-            machine.set_owner_range(0, HANDOFF_FRAMES, FrameOwner::Handoff);
-        }
-        machine.set_owner_range(base_frame, config.kernel_frames, FrameOwner::Kernel);
+        let Some(kernel_end) = base_frame.checked_add(config.kernel_frames) else {
+            return Err((
+                KernelError::Inval("kernel region outside RAM"),
+                Box::new(machine),
+            ));
+        };
 
         // General allocator: on a cold boot, everything between the kernel
         // region and the (future) crash reservation; for a crash kernel,
@@ -546,12 +549,26 @@ impl Kernel {
                     Box::new(machine),
                 ));
             }
-            (
-                kernel_end,
-                h.crash_base + h.crash_frames,
-                h.trace_base,
-                h.trace_frames,
-            )
+            // The handoff block is dead-kernel memory: a corrupted crash
+            // region must fail the boot, not size the allocator from an
+            // arbitrary 64-bit frame count. The region must lie in
+            // installed RAM below the epoch-checkpoint slots; this
+            // kernel's own frames must then fit inside it (checked next).
+            let ckpt_base = if h.trace_base >= layout::CKPT_FRAMES && h.trace_base <= total_frames {
+                layout::ckpt_region_base(h.trace_base)
+            } else {
+                total_frames
+            };
+            let crash_end = match h.crash_base.checked_add(h.crash_frames) {
+                Some(end) if end <= ckpt_base => end,
+                _ => {
+                    return Err((
+                        KernelError::Inval("crash region outside RAM"),
+                        Box::new(machine),
+                    ))
+                }
+            };
+            (kernel_end, crash_end, h.trace_base, h.trace_frames)
         };
         if gen_base >= gen_end {
             return Err((
@@ -559,6 +576,10 @@ impl Kernel {
                 Box::new(machine),
             ));
         }
+        if cold {
+            machine.set_owner_range(0, HANDOFF_FRAMES, FrameOwner::Handoff);
+        }
+        machine.set_owner_range(base_frame, config.kernel_frames, FrameOwner::Kernel);
         let falloc = FrameAllocator::new(gen_base, (gen_end - gen_base) as usize);
 
         // Kernel heap occupies the kernel region after the header page,

@@ -223,6 +223,71 @@ fn morph_reclaims_dead_kernel_memory() {
     assert!(matches!(out, ow_kernel::PanicOutcome::Handoff(_)));
 }
 
+/// A crash region forged into the handoff block (as a wild write could
+/// leave it) fails the crash-kernel boot with an error and hands the
+/// machine back — instead of sizing the frame allocator from it, which
+/// aborted the whole process for region ends near `u64::MAX`.
+#[test]
+fn forged_crash_region_fails_the_crash_boot() {
+    use ow_kernel::layout::{HandoffBlock, CKPT_FRAMES};
+    let mut k = boot();
+    k.spawn(SpawnSpec::new("nop", Box::new(Nop))).unwrap();
+    k.do_panic(PanicCause::Oops("forged handoff"));
+    let info = match k.panicked.clone().unwrap() {
+        ow_kernel::PanicOutcome::Handoff(i) => i,
+        other => panic!("{other:?}"),
+    };
+    let (genuine, _) = HandoffBlock::read(&k.machine.phys).unwrap();
+    let ckpt_base = genuine.trace_base - CKPT_FRAMES;
+    assert_eq!(genuine.crash_base + genuine.crash_frames, ckpt_base);
+    let mut machine = k.machine;
+    let forged_frame_counts = [
+        u64::MAX - genuine.crash_base + 1, // region end wraps to 0
+        u64::MAX / 2,                      // a 2^63-frame allocator bitmap
+        1 << 40,                           // far beyond installed RAM
+        genuine.crash_frames + 1,          // one frame into the checkpoint slots
+    ];
+    for crash_frames in forged_frame_counts {
+        HandoffBlock {
+            crash_frames,
+            ..genuine
+        }
+        .write(&mut machine.phys)
+        .unwrap();
+        for tolerate in [false, true] {
+            let frames = machine.frames();
+            match Kernel::try_boot_crash(
+                machine,
+                KernelConfig::default(),
+                ProgramRegistry::new(),
+                info,
+                tolerate,
+            ) {
+                Ok(_) => panic!("crash_frames {crash_frames:#x} must not boot"),
+                Err((e, m)) => {
+                    assert!(
+                        e.to_string().contains("crash region outside RAM"),
+                        "crash_frames {crash_frames:#x}: {e}"
+                    );
+                    assert_eq!(m.frames(), frames, "the machine is handed back");
+                    machine = *m;
+                }
+            }
+        }
+    }
+    // The genuine block still boots on the handed-back machine.
+    genuine.write(&mut machine.phys).unwrap();
+    Kernel::try_boot_crash(
+        machine,
+        KernelConfig::default(),
+        ProgramRegistry::new(),
+        info,
+        false,
+    )
+    .map_err(|(e, _)| e)
+    .expect("genuine handoff boots");
+}
+
 /// A program that exercises the ERESTART convention.
 struct RestartProbe;
 

@@ -5,7 +5,7 @@
 //! crash kernel, so resurrection never clobbers pages the main kernel had
 //! swapped out (§3.2).
 
-use crate::{clock::Clock, cost::CostModel};
+use crate::{clock::Clock, cost::CostModel, zeroed::ZeroedBuf};
 use std::fmt;
 
 /// Block-device identifier.
@@ -52,7 +52,7 @@ pub struct BlockDevice {
     pub id: DevId,
     /// Human-readable name (e.g. `"sda"`, `"swap-main"`, `"swap-crash"`).
     pub name: String,
-    data: Vec<u8>,
+    data: ZeroedBuf,
     stats: DevStats,
 }
 
@@ -62,7 +62,7 @@ impl BlockDevice {
         BlockDevice {
             id,
             name: name.into(),
-            data: vec![0u8; size],
+            data: ZeroedBuf::new(size),
             stats: DevStats::default(),
         }
     }
@@ -125,7 +125,9 @@ impl BlockDevice {
         buf: &[u8],
     ) -> Result<(), DevError> {
         let start = self.check(offset, buf.len())?;
-        self.data[start..start + buf.len()].copy_from_slice(buf);
+        self.data
+            .dirty_span_mut(start, buf.len())
+            .copy_from_slice(buf);
         self.stats.writes += 1;
         self.stats.bytes += buf.len() as u64;
         clock.charge(Self::op_cost(cost, buf.len()));
@@ -183,6 +185,27 @@ mod tests {
         let cost = CostModel::default();
         assert!(dev.write_at(&mut clock, &cost, 12, b"xxxxx").is_err());
         assert!(dev.write_at(&mut clock, &cost, u64::MAX, b"x").is_err());
+    }
+
+    #[test]
+    fn recycled_device_is_zero_including_a_partial_last_block() {
+        // Three full 4 KiB blocks and a 100-byte tail block.
+        const SIZE: usize = 3 * 4096 + 100;
+        crate::zeroed::empty_pool();
+        let mut clock = Clock::new();
+        let cost = CostModel::default();
+        let mut dev = BlockDevice::new(0, "sda", SIZE);
+        let ptr = dev.data.as_ptr();
+        dev.write_at(&mut clock, &cost, 4096 - 2, &[0xee; 4])
+            .unwrap();
+        dev.write_at(&mut clock, &cost, SIZE as u64 - 10, &[0xdd; 10])
+            .unwrap();
+        drop(dev);
+        let dev = BlockDevice::new(1, "sdb", SIZE);
+        assert_eq!(dev.data.as_ptr(), ptr, "recycled");
+        let mut all = vec![0xffu8; SIZE];
+        dev.peek(0, &mut all).unwrap();
+        assert!(all.iter().all(|&b| b == 0), "recycled device must be zero");
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub mod paging;
 pub mod phys;
 pub mod rng;
 pub mod watchdog;
+mod zeroed;
 
 pub use blockdev::{BlockDevice, DevId};
 pub use clock::Clock;

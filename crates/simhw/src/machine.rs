@@ -333,6 +333,60 @@ mod tests {
         assert_eq!(m.phys.read_u64(addr).unwrap(), 0);
     }
 
+    fn reads_all_zero(m: &Machine) -> bool {
+        let ram_zero = m
+            .phys
+            .slice(0, m.phys.size() as usize)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0);
+        let devs_zero = m.devices().iter().all(|d| {
+            let mut buf = vec![0xffu8; d.size() as usize];
+            d.peek(0, &mut buf).unwrap();
+            buf.iter().all(|&b| b == 0)
+        });
+        ram_zero && devs_zero
+    }
+
+    #[test]
+    fn landed_wild_write_does_not_survive_into_the_next_machine() {
+        crate::zeroed::empty_pool();
+        let mut m = machine();
+        m.set_owner(7, FrameOwner::Kernel);
+        let addr = 7 * PAGE_SIZE as u64 + 16;
+        assert_eq!(
+            m.wild_write(addr, 0xdead_beef, false),
+            WildWriteOutcome::Landed(FrameOwner::Kernel)
+        );
+        assert_ne!(m.phys.read_u64(addr).unwrap(), 0);
+        let ram = m.phys.slice(0, 1).unwrap().as_ptr();
+        drop(m);
+        let m = machine();
+        assert_eq!(m.phys.slice(0, 1).unwrap().as_ptr(), ram, "recycled");
+        assert!(reads_all_zero(&m));
+    }
+
+    #[test]
+    fn machine_dropped_while_unwinding_is_recycled_zeroed() {
+        crate::zeroed::empty_pool();
+        let mut ram = std::ptr::null();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut m = machine();
+            ram = m.phys.slice(0, 1).unwrap().as_ptr();
+            let sda = m.add_device("sda", 8192);
+            m.phys.write_u64(3 * PAGE_SIZE as u64, u64::MAX).unwrap();
+            m.dev_write(sda, 4000, &[0xab; 200]).unwrap();
+            // Unwind without running the panic hook (keeps test output
+            // quiet); the machine is dropped mid-unwind.
+            std::panic::resume_unwind(Box::new("harness panic"));
+        }));
+        assert!(unwound.is_err());
+        let mut m = machine();
+        m.add_device("sda", 8192);
+        assert_eq!(m.phys.slice(0, 1).unwrap().as_ptr(), ram, "recycled");
+        assert!(reads_all_zero(&m));
+    }
+
     #[test]
     fn wild_write_past_ram_is_harmless() {
         let mut m = machine();

@@ -5,6 +5,7 @@
 //! into this memory, so corrupting a byte here corrupts the "real" system
 //! state, exactly as a wild write on hardware would.
 
+use crate::zeroed::ZeroedBuf;
 use std::fmt;
 
 /// Size of one physical page frame in bytes.
@@ -42,7 +43,7 @@ impl std::error::Error for MemError {}
 /// All multi-byte accessors use little-endian byte order, matching the x86
 /// machines the paper evaluates on.
 pub struct PhysMem {
-    bytes: Vec<u8>,
+    bytes: ZeroedBuf,
 }
 
 impl PhysMem {
@@ -55,7 +56,7 @@ impl PhysMem {
         // ow-lint: allow(recovery-panic) -- documented # Panics contract: machine-geometry precondition at construction
         assert!(frames > 0, "machine needs at least one frame of RAM");
         PhysMem {
-            bytes: vec![0u8; frames * PAGE_SIZE],
+            bytes: ZeroedBuf::new(frames * PAGE_SIZE),
         }
     }
 
@@ -90,7 +91,9 @@ impl PhysMem {
     /// Writes `buf` starting at `addr`.
     pub fn write(&mut self, addr: PhysAddr, buf: &[u8]) -> Result<(), MemError> {
         let start = self.check(addr, buf.len())?;
-        self.bytes[start..start + buf.len()].copy_from_slice(buf);
+        self.bytes
+            .dirty_span_mut(start, buf.len())
+            .copy_from_slice(buf);
         Ok(())
     }
 
@@ -103,7 +106,7 @@ impl PhysMem {
     /// Returns a mutable view of `len` bytes at `addr`.
     pub fn slice_mut(&mut self, addr: PhysAddr, len: usize) -> Result<&mut [u8], MemError> {
         let start = self.check(addr, len)?;
-        Ok(&mut self.bytes[start..start + len])
+        Ok(self.bytes.dirty_span_mut(start, len))
     }
 
     /// Reads one byte.
@@ -115,7 +118,7 @@ impl PhysMem {
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: PhysAddr, v: u8) -> Result<(), MemError> {
         let start = self.check(addr, 1)?;
-        self.bytes[start] = v;
+        self.bytes.dirty_span_mut(start, 1)[0] = v;
         Ok(())
     }
 
@@ -129,7 +132,9 @@ impl PhysMem {
     /// Writes a little-endian `u16`.
     pub fn write_u16(&mut self, addr: PhysAddr, v: u16) -> Result<(), MemError> {
         let start = self.check(addr, 2)?;
-        self.bytes[start..start + 2].copy_from_slice(&v.to_le_bytes());
+        self.bytes
+            .dirty_span_mut(start, 2)
+            .copy_from_slice(&v.to_le_bytes());
         Ok(())
     }
 
@@ -143,7 +148,9 @@ impl PhysMem {
     /// Writes a little-endian `u32`.
     pub fn write_u32(&mut self, addr: PhysAddr, v: u32) -> Result<(), MemError> {
         let start = self.check(addr, 4)?;
-        self.bytes[start..start + 4].copy_from_slice(&v.to_le_bytes());
+        self.bytes
+            .dirty_span_mut(start, 4)
+            .copy_from_slice(&v.to_le_bytes());
         Ok(())
     }
 
@@ -157,7 +164,9 @@ impl PhysMem {
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: PhysAddr, v: u64) -> Result<(), MemError> {
         let start = self.check(addr, 8)?;
-        self.bytes[start..start + 8].copy_from_slice(&v.to_le_bytes());
+        self.bytes
+            .dirty_span_mut(start, 8)
+            .copy_from_slice(&v.to_le_bytes());
         Ok(())
     }
 
@@ -165,7 +174,7 @@ impl PhysMem {
     pub fn zero_frame(&mut self, pfn: u64) -> Result<(), MemError> {
         let addr = pfn * PAGE_SIZE as u64;
         let start = self.check(addr, PAGE_SIZE)?;
-        self.bytes[start..start + PAGE_SIZE].fill(0);
+        self.bytes.dirty_span_mut(start, PAGE_SIZE).fill(0);
         Ok(())
     }
 
@@ -173,7 +182,7 @@ impl PhysMem {
     pub fn copy_frame(&mut self, src_pfn: u64, dst_pfn: u64) -> Result<(), MemError> {
         let src = self.check(src_pfn * PAGE_SIZE as u64, PAGE_SIZE)?;
         let dst = self.check(dst_pfn * PAGE_SIZE as u64, PAGE_SIZE)?;
-        self.bytes.copy_within(src..src + PAGE_SIZE, dst);
+        self.bytes.copy_within_marked(src..src + PAGE_SIZE, dst);
         Ok(())
     }
 
@@ -245,6 +254,63 @@ mod tests {
         assert_eq!(m.read_u64(2 * PAGE_SIZE as u64).unwrap(), 42);
         m.zero_frame(2).unwrap();
         assert_eq!(m.read_u64(2 * PAGE_SIZE as u64).unwrap(), 0);
+    }
+
+    /// Each mutator dirties its own block of a fresh memory; after a drop,
+    /// the next memory of the same size must reuse the buffer and read all
+    /// zero. A mutator that forgot to mark its block would leave it dirty.
+    #[test]
+    fn recycled_memory_is_zero_after_every_mutator() {
+        const P: u64 = PAGE_SIZE as u64;
+        let mutators: [(&str, fn(&mut PhysMem)); 10] = [
+            ("write across a block boundary", |m| {
+                m.write(2 * P - 3, &[0xa5; 7]).unwrap()
+            }),
+            ("write_u8", |m| m.write_u8(3 * P + 5, 0x5a).unwrap()),
+            ("write_u16 across a boundary", |m| {
+                m.write_u16(2 * P - 1, 0xbeef).unwrap()
+            }),
+            ("write_u32", |m| m.write_u32(P + 12, 0xdead_beef).unwrap()),
+            ("write_u64 across a boundary", |m| {
+                m.write_u64(3 * P - 4, u64::MAX).unwrap()
+            }),
+            ("slice_mut", |m| {
+                m.slice_mut(P + 100, 50).unwrap().fill(0x11)
+            }),
+            ("zero_frame after a write", |m| {
+                m.write_u64(P, 1).unwrap();
+                m.zero_frame(1).unwrap();
+                m.write_u64(P + 8, 2).unwrap();
+            }),
+            ("copy_frame destination", |m| {
+                m.write_u64(0, 0x77).unwrap();
+                m.copy_frame(0, 3).unwrap();
+                // Clear the source through the marked path so only the
+                // destination's mark is under test.
+                m.zero_frame(0).unwrap();
+            }),
+            ("corrupt_u64", |m| m.corrupt_u64(2 * P + 64, 0xf0f0)),
+            ("corrupt_u64 across a boundary", |m| {
+                m.corrupt_u64(P - 2, u64::MAX)
+            }),
+        ];
+        for (what, mutate) in mutators {
+            crate::zeroed::empty_pool();
+            let mut m = PhysMem::new(4);
+            let ptr = m.slice(0, 1).unwrap().as_ptr();
+            mutate(&mut m);
+            assert!(
+                m.slice(0, 4 * PAGE_SIZE).unwrap().iter().any(|&b| b != 0),
+                "{what}: the mutator must leave a mark"
+            );
+            drop(m);
+            let m = PhysMem::new(4);
+            assert_eq!(m.slice(0, 1).unwrap().as_ptr(), ptr, "{what}: recycled");
+            assert!(
+                m.slice(0, 4 * PAGE_SIZE).unwrap().iter().all(|&b| b == 0),
+                "{what}: recycled memory must read all zero"
+            );
+        }
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! [`SimRng`] instead of proptest so they run fully offline.
 //!
 //! Gated behind the off-by-default `heavy-tests` feature: these are the
-//! slow, many-cases sweeps. The tier-1 offline gate (`ci.sh`) builds them
-//! with `--all-features` clippy so they stay warning-clean, but only runs
-//! them when asked (`cargo test --features heavy-tests`).
+//! many-cases sweeps, kept out of `cargo test --workspace`. The tier-1
+//! offline gate (`ci.sh`) runs them on their own
+//! (`cargo test -p ow-simhw --features heavy-tests`, a few seconds).
 #![cfg(feature = "heavy-tests")]
 
 use ow_simhw::{
     paging::{PageFault, VA_LIMIT},
-    AccessKind, AddressSpace, Clock, CostModel, FrameAllocator, Mmu, PhysMem, Pte, PteFlags,
-    SimRng, KERNEL_ASID, PAGE_SIZE,
+    AccessKind, AddressSpace, BlockDevice, Clock, CostModel, FrameAllocator, Mmu, PhysMem, Pte,
+    PteFlags, SimRng, KERNEL_ASID, PAGE_SIZE,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -237,5 +237,142 @@ fn addresses_beyond_va_limit_fault() {
         let off = rng.gen_range(0u64..(1 << 33));
         let vaddr = VA_LIMIT + off;
         assert_eq!(asp.walk(&phys, vaddr), Err(PageFault::OutOfSpace(vaddr)));
+    }
+}
+
+/// Recycled memory is indistinguishable from fresh memory. Random traces of
+/// every `PhysMem` mutator (plain and cross-block writes of each width,
+/// `slice_mut`, `zero_frame`, `copy_frame`, in-range and out-of-range
+/// `corrupt_u64`) run against a plain `Vec<u8>` shadow, with reads checked
+/// against it throughout. After the drop, the next memory of the same size
+/// reuses the buffer and must read all zero; it then runs the next trace.
+#[test]
+fn recycled_phys_mem_matches_a_fresh_shadow() {
+    let mut rng = SimRng::seed_from_u64(0x907e_0006);
+    for case in 0..CASES {
+        let frames = rng.gen_range(1usize..9);
+        let size = frames * PAGE_SIZE;
+        let mut phys = PhysMem::new(frames);
+        for round in 0..4 {
+            let ptr = phys.slice(0, 1).unwrap().as_ptr();
+            let mut shadow = vec![0u8; size];
+            let nops = rng.gen_range(1usize..120);
+            for _ in 0..nops {
+                // Addresses cluster around block boundaries half the time.
+                let addr = if rng.gen_bool(0.5) {
+                    let edge = rng.gen_range(0..frames) * PAGE_SIZE;
+                    (edge + size - 8 + rng.gen_range(0usize..16)) % size
+                } else {
+                    rng.gen_range(0..size)
+                };
+                let v = rng.next_u64();
+                let width = [1usize, 2, 4, 8][rng.gen_range(0usize..4)];
+                let fits = addr + width <= size;
+                match rng.gen_range(0u32..9) {
+                    0 => {
+                        let len = rng.gen_range(0..(size - addr).min(3 * PAGE_SIZE) + 1);
+                        let bytes: Vec<u8> = (0..len).map(|i| (v >> (i % 8 * 8)) as u8).collect();
+                        phys.write(addr as u64, &bytes).unwrap();
+                        shadow[addr..addr + len].copy_from_slice(&bytes);
+                    }
+                    1 if fits => {
+                        let bytes = &v.to_le_bytes()[..width];
+                        match width {
+                            1 => phys.write_u8(addr as u64, v as u8),
+                            2 => phys.write_u16(addr as u64, v as u16),
+                            4 => phys.write_u32(addr as u64, v as u32),
+                            _ => phys.write_u64(addr as u64, v),
+                        }
+                        .unwrap();
+                        shadow[addr..addr + width].copy_from_slice(bytes);
+                    }
+                    2 => {
+                        let len = rng.gen_range(0..(size - addr).min(2 * PAGE_SIZE) + 1);
+                        phys.slice_mut(addr as u64, len).unwrap().fill(v as u8);
+                        shadow[addr..addr + len].fill(v as u8);
+                    }
+                    3 => {
+                        let pfn = rng.gen_range(0..frames);
+                        phys.zero_frame(pfn as u64).unwrap();
+                        shadow[pfn * PAGE_SIZE..(pfn + 1) * PAGE_SIZE].fill(0);
+                    }
+                    4 => {
+                        let (src, dst) = (rng.gen_range(0..frames), rng.gen_range(0..frames));
+                        phys.copy_frame(src as u64, dst as u64).unwrap();
+                        shadow.copy_within(src * PAGE_SIZE..(src + 1) * PAGE_SIZE, dst * PAGE_SIZE);
+                    }
+                    5 => {
+                        phys.corrupt_u64(addr as u64, v);
+                        if addr + 8 <= size {
+                            for (i, b) in v.to_le_bytes().iter().enumerate() {
+                                shadow[addr + i] ^= b;
+                            }
+                        }
+                    }
+                    6 => {
+                        // Out-of-range writes fail and change nothing.
+                        assert!(phys.write_u64((size - 4) as u64, v).is_err());
+                        assert!(phys.write(size as u64, &[1]).is_err());
+                    }
+                    _ => {
+                        let len = rng.gen_range(0..(size - addr).min(64) + 1);
+                        assert_eq!(
+                            phys.slice(addr as u64, len).unwrap(),
+                            &shadow[addr..addr + len],
+                            "case {case} round {round}: read at {addr:#x}+{len}"
+                        );
+                    }
+                }
+            }
+            assert!(
+                phys.slice(0, size).unwrap() == &shadow[..],
+                "case {case} round {round}: memory diverged from the shadow"
+            );
+            drop(phys);
+            phys = PhysMem::new(frames);
+            assert_eq!(phys.slice(0, 1).unwrap().as_ptr(), ptr, "buffer recycled");
+            assert!(
+                phys.slice(0, size).unwrap().iter().all(|&b| b == 0),
+                "case {case} round {round}: recycled memory is not zero"
+            );
+        }
+    }
+}
+
+/// The same for block devices, whose sizes need not be a multiple of the
+/// 4 KiB block (the last block is partial).
+#[test]
+fn recycled_block_device_matches_a_fresh_shadow() {
+    let mut rng = SimRng::seed_from_u64(0x907e_0007);
+    let cost = CostModel::default();
+    for case in 0..CASES {
+        let size = rng.gen_range(1usize..5 * PAGE_SIZE);
+        let mut clock = Clock::new();
+        let mut dev = BlockDevice::new(0, "sda", size);
+        for round in 0..4 {
+            let mut shadow = vec![0u8; size];
+            for _ in 0..rng.gen_range(1usize..60) {
+                let offset = rng.gen_range(0..size);
+                let len = rng.gen_range(0..(size - offset).min(2 * PAGE_SIZE) + 1);
+                let byte = rng.gen_range(1u32..256) as u8;
+                dev.write_at(&mut clock, &cost, offset as u64, &vec![byte; len])
+                    .unwrap();
+                shadow[offset..offset + len].fill(byte);
+                let mut got = vec![0u8; len];
+                dev.read_at(&mut clock, &cost, offset as u64, &mut got)
+                    .unwrap();
+                assert_eq!(got, &shadow[offset..offset + len]);
+            }
+            let mut all = vec![0u8; size];
+            dev.peek(0, &mut all).unwrap();
+            assert_eq!(all, shadow, "case {case} round {round}: device diverged");
+            drop(dev);
+            dev = BlockDevice::new(0, "sda", size);
+            dev.peek(0, &mut all).unwrap();
+            assert!(
+                all.iter().all(|&b| b == 0),
+                "case {case} round {round}: recycled device is not zero"
+            );
+        }
     }
 }
